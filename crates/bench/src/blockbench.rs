@@ -14,6 +14,13 @@ use std::collections::BTreeMap;
 /// Bump when the JSON shape changes; CI pins the current value.
 pub const SCHEMA_VERSION: u64 = 1;
 
+/// Ceiling on the `ta/block` p50 over the `ta/disk` p50. TA is the
+/// random-probe algorithm, and a block probe unpacks one entry of one
+/// block, so block TA must stay in disk TA's range. The bound is on p50
+/// rather than p95: at 25 samples the two cells' p95s trade places
+/// between runs.
+pub const TA_BLOCK_OVER_DISK_MAX: f64 = 1.5;
+
 /// One latency measurement: an (algorithm, backend) cell.
 #[derive(Debug, Clone)]
 pub struct LatencyRow {
@@ -136,9 +143,10 @@ fn require_number(v: &Value, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("{key} is not a number"))
 }
 
-/// Structural check for the artifact — the bench runs this before
-/// writing, and CI runs it (via the `validate` unit binary path of the
-/// bench itself) against the committed file.
+/// Structural check for the artifact, plus one performance gate: the
+/// `ta/block` p50 must stay within [`TA_BLOCK_OVER_DISK_MAX`] of the
+/// `ta/disk` p50. The bench runs this before writing, and `ipm
+/// bench-check` runs it against the committed file.
 pub fn validate(v: &Value) -> Result<(), String> {
     let version = require(v, "schema_version")?
         .as_u64()
@@ -159,20 +167,32 @@ pub fn validate(v: &Value) -> Result<(), String> {
     if latency.is_empty() {
         return Err("latency_us is empty".into());
     }
+    let mut ta_p50 = BTreeMap::new();
     for row in latency {
-        require(row, "backend")?
+        let backend = require(row, "backend")?
             .as_str()
             .ok_or("backend not a string")?;
-        require(row, "algorithm")?
+        let algorithm = require(row, "algorithm")?
             .as_str()
             .ok_or("algorithm not a string")?;
         require(row, "samples")?
             .as_u64()
             .ok_or("samples not an integer")?;
-        require_number(row, "p50_us")?;
+        let p50 = require_number(row, "p50_us")?;
         let p95 = require_number(row, "p95_us")?;
-        if p95 < require_number(row, "p50_us")? {
+        if p95 < p50 {
             return Err("p95_us below p50_us".into());
+        }
+        if algorithm == "ta" {
+            ta_p50.insert(backend, p50);
+        }
+    }
+    if let (Some(&block), Some(&disk)) = (ta_p50.get("block"), ta_p50.get("disk")) {
+        if block > TA_BLOCK_OVER_DISK_MAX * disk {
+            return Err(format!(
+                "ta/block p50 {block}us exceeds {TA_BLOCK_OVER_DISK_MAX}x ta/disk p50 {disk}us: \
+                 block random probes have regressed"
+            ));
         }
     }
     let footprint = require(v, "footprint")?
@@ -292,6 +312,20 @@ mod tests {
         }];
         let v = report("c", 5, true, &lat, &fp, &kr);
         assert!(validate(&v).is_err());
+        // Block TA more than 1.5x disk TA at p50; exactly 1.5x passes.
+        let ta = |backend: &str, p50_us: f64| LatencyRow {
+            backend: backend.into(),
+            algorithm: "ta".into(),
+            samples: 25,
+            p50_us,
+            p95_us: p50_us,
+        };
+        let ta_report = |block_p50| {
+            let lat = [ta("disk", 20.0), ta("block", block_p50)];
+            validate(&report("c", 5, true, &lat, &fp, &[]))
+        };
+        assert!(ta_report(31.0).unwrap_err().contains("ta/block"));
+        ta_report(30.0).unwrap();
     }
 
     #[test]

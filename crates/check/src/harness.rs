@@ -19,6 +19,10 @@
 //!   `block_max_hint` upper-bounds all entries it stands for (so pruning
 //!   on it never drops a qualifying phrase), and `probe` agrees with the
 //!   source list.
+//! * **Partial probe equivalence** ([`check_block_probe_matches_reference`])
+//!   — a block probe that unpacks only the gaps up to its target and one
+//!   count returns the reference probe's score bit for bit over sparse
+//!   ids and mixed gap widths, and charges exactly the covering block.
 //! * **Merge-order determinism** ([`check_sort_hits_total`]) — result
 //!   ordering (score desc, ties id asc) is a total order on NaN-free
 //!   hits: permutation-invariant, and `truncate_top_k` is its prefix.
@@ -34,16 +38,39 @@
 
 use ipm_core::result::{sort_hits, truncate_top_k, PhraseHit};
 use ipm_corpus::{Feature, PhraseId, WordId};
+use ipm_index::block::{FetchHook, BLOCK_SIZE};
 use ipm_index::{
     BlockLists, IdListCursor, IdOrderedLists, ListEntry, ScoredListCursor, WordPhraseLists,
 };
 use ipm_obs::Histogram;
 use ipm_server::wire::{f64_from_bits_str, f64_to_bits_str};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Block-max bound soundness
 // ---------------------------------------------------------------------------
+
+/// Encodes one feature's id-ascending `by_id` list (both orders) against
+/// the per-phrase `df` table; returns the lists and the score order
+/// (prob desc, id asc on ties — the list builder's order).
+fn one_feature_blocks(
+    feature: Feature,
+    by_id: &[ListEntry],
+    df: &[u32],
+) -> (BlockLists, Vec<ListEntry>) {
+    let mut by_score = by_id.to_vec();
+    by_score.sort_by(|a, b| {
+        b.prob
+            .partial_cmp(&a.prob)
+            .expect("counts/dfs produce finite probs")
+            .then(a.phrase.cmp(&b.phrase))
+    });
+    let lists = WordPhraseLists::from_feature_lists(vec![(feature, by_score.clone())]);
+    let id_lists = IdOrderedLists::from_feature_lists(vec![(feature, by_id.to_vec())]);
+    let blocks = BlockLists::build(&lists, &id_lists, Arc::new(df.to_vec()), None);
+    (blocks, by_score)
+}
 
 /// Builds a one-feature `BlockLists` over phrases `0..counts.len()` where
 /// phrase `i` has co-occurrence count `counts[i]` and document frequency
@@ -75,19 +102,8 @@ pub fn check_block_roundtrip_and_bounds(counts: &[u32], dfs: &[u32]) {
         .collect();
     let feature = Feature::Word(WordId(0));
 
-    // Score order: prob desc, id asc on ties (the list builder's order).
-    let mut by_score = entries.clone();
-    by_score.sort_by(|a, b| {
-        b.prob
-            .partial_cmp(&a.prob)
-            .expect("counts/dfs produce finite probs")
-            .then(a.phrase.cmp(&b.phrase))
-    });
     let by_id = entries; // already ascending by construction
-
-    let lists = WordPhraseLists::from_feature_lists(vec![(feature, by_score.clone())]);
-    let id_lists = IdOrderedLists::from_feature_lists(vec![(feature, by_id.clone())]);
-    let blocks = BlockLists::build(&lists, &id_lists, Arc::new(dfs.to_vec()), None);
+    let (blocks, by_score) = one_feature_blocks(feature, &by_id, dfs);
 
     // Round-trip, both orders, bit-exact.
     let mut cur = blocks.score_cursor_with_hook(feature, 1.0, None);
@@ -155,6 +171,79 @@ pub fn check_block_roundtrip_and_bounds(counts: &[u32], dfs: &[u32]) {
     }
     let absent = PhraseId(counts.len() as u32);
     assert_eq!(blocks.probe_with_hook(feature, absent, None), 0.0);
+}
+
+/// Partial block probes against the reference probe. Builds a
+/// one-feature `BlockLists` holding phrase `ids[i]` (strictly ascending,
+/// each `< df.len()`) with co-count `counts[i]` over document frequency
+/// `df[ids[i]]`, then probes every target in `0..=df.len() + 1` — present
+/// ids, ids in the gaps, and ids beyond either end — and asserts:
+///
+/// * the probe returns the source entry's probability bit for bit, and
+///   `0.0` for an absent target;
+/// * the fetch hook fires exactly once, with the covering block's
+///   `(offset, bytes)`, when some id block's `[first, last]` holds the
+///   target, and never otherwise.
+///
+/// The reference block extents come from the id cursor: block `j` covers
+/// entries `j·BLOCK_SIZE ..` of the id list, and its hook call is the
+/// cursor's `j`-th.
+///
+/// # Panics
+/// On any violation (the harness convention: panics are the property).
+pub fn check_block_probe_matches_reference(ids: &[u32], counts: &[u32], df: &[u32]) {
+    assert_eq!(ids.len(), counts.len(), "harness input shape");
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
+    let by_id: Vec<ListEntry> = ids
+        .iter()
+        .zip(counts)
+        .map(|(&id, &c)| {
+            let d = df[id as usize];
+            assert!(1 <= c && c <= d, "harness inputs must satisfy 1<=count<=df");
+            ListEntry {
+                phrase: PhraseId(id),
+                prob: f64::from(c) / f64::from(d),
+            }
+        })
+        .collect();
+    let feature = Feature::Word(WordId(0));
+    let (blocks, _) = one_feature_blocks(feature, &by_id, df);
+
+    let fetches = RefCell::new(Vec::new());
+    let hook: FetchHook<'_> = Box::new(|offset, bytes| fetches.borrow_mut().push((offset, bytes)));
+    let mut cur = blocks.id_cursor_with_hook(feature, Some(hook));
+    while cur.next_entry().is_some() {}
+    let extents = fetches.take();
+    let chunks: Vec<&[ListEntry]> = by_id.chunks(BLOCK_SIZE).collect();
+    assert_eq!(extents.len(), chunks.len(), "one id-cursor fetch per block");
+
+    for target in 0..=df.len() as u32 + 1 {
+        let phrase = PhraseId(target);
+        let want = by_id
+            .binary_search_by_key(&phrase, |e| e.phrase)
+            .map_or(0.0, |i| by_id[i].prob);
+        let got = blocks.probe_with_hook(
+            feature,
+            phrase,
+            Some(&|o, b| {
+                fetches.borrow_mut().push((o, b));
+            }),
+        );
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "probe({target}) = {got}, reference {want}"
+        );
+        let covering = chunks
+            .iter()
+            .position(|c| c[0].phrase <= phrase && phrase <= c[c.len() - 1].phrase);
+        let want_fetches: Vec<(u64, u64)> = covering.map(|j| extents[j]).into_iter().collect();
+        assert_eq!(
+            fetches.take(),
+            want_fetches,
+            "probe({target}) must charge exactly its covering block"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -358,6 +447,25 @@ mod proofs {
     }
 
     #[kani::proof]
+    #[kani::unwind(6)]
+    fn block_probe_small() {
+        let present: [bool; 4] = kani::any();
+        let counts: [u32; 4] = kani::any();
+        let dfs: [u32; 4] = kani::any();
+        let mut ids = Vec::new();
+        let mut cs = Vec::new();
+        for i in 0..4 {
+            kani::assume(1 <= dfs[i] && dfs[i] <= 4);
+            kani::assume(1 <= counts[i] && counts[i] <= dfs[i]);
+            if present[i] {
+                ids.push(i as u32);
+                cs.push(counts[i]);
+            }
+        }
+        check_block_probe_matches_reference(&ids, &cs, &dfs);
+    }
+
+    #[kani::proof]
     #[kani::unwind(8)]
     fn sort_hits_total_small() {
         let scores: [u8; 3] = kani::any();
@@ -438,6 +546,53 @@ mod tests {
         // boundary condition.
         check_block_roundtrip_and_bounds(&[1; 200], &[2; 200]);
         check_block_roundtrip_and_bounds(&[5], &[5]);
+    }
+
+    #[test]
+    fn partial_probe_matches_reference_on_every_small_id_set() {
+        // Every subset of ids 0..10 (gaps 1..=9, so id widths 1..=4 bits),
+        // under three count/df assignments that vary the count width.
+        const N: u32 = 10;
+        for mask in 0u32..1 << N {
+            let ids: Vec<u32> = (0..N).filter(|i| mask & (1 << i) != 0).collect();
+            for variant in 0..3u32 {
+                let df: Vec<u32> = (0..N)
+                    .map(|i| {
+                        1 + (mask.wrapping_mul(7) + i * 13 + variant * 101)
+                            % [3, 60, 1000][variant as usize]
+                    })
+                    .collect();
+                let counts: Vec<u32> = ids
+                    .iter()
+                    .map(|&i| 1 + (mask ^ (i * 31 + variant)) % df[i as usize])
+                    .collect();
+                check_block_probe_matches_reference(&ids, &counts, &df);
+            }
+        }
+    }
+
+    #[test]
+    fn partial_probe_matches_reference_on_multi_block_lists() {
+        // 300 entries = 3 id blocks with random gaps up to 2^k, so gap
+        // widths, count widths and every word-load alignment vary; every
+        // id in the span (present or in a gap) is probed.
+        for max_gap_bits in [1u32, 4, 8] {
+            let mut seed = 99 + u64::from(max_gap_bits);
+            let mut ids = Vec::new();
+            let mut id = (splitmix(&mut seed) % 4) as u32;
+            for _ in 0..300 {
+                ids.push(id);
+                id += 1 + (splitmix(&mut seed) % (1u64 << max_gap_bits)) as u32;
+            }
+            let df: Vec<u32> = (0..id)
+                .map(|_| 1 + (splitmix(&mut seed) % 5000) as u32)
+                .collect();
+            let counts: Vec<u32> = ids
+                .iter()
+                .map(|&i| 1 + (splitmix(&mut seed) % u64::from(df[i as usize])) as u32)
+                .collect();
+            check_block_probe_matches_reference(&ids, &counts, &df);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! the scalar path is the default and the only path on other
 //! architectures.
 
-use crate::backend::{probe_id_ordered, ListBackend};
+use crate::backend::ListBackend;
 use crate::corpus_index::CorpusIndex;
 use crate::cursor::{prefix_len, IdListCursor, ScoredListCursor};
 use crate::wordlists::{IdOrderedLists, ListEntry, WordPhraseLists, ENTRY_BYTES};
@@ -311,25 +311,20 @@ impl BlockLists {
         }
     }
 
-    /// Probe with an optional fetch observer: binary-searches the id-run
-    /// skip metadata, decodes (at most) one block.
+    /// Probe with an optional fetch observer. Binary-searches the id-run
+    /// skip metadata for the one block whose `[first, last]` covers
+    /// `phrase`, charges that whole block to `hook` (a §5.5 fetch is
+    /// page-granular, however little of it is read), then reads only
+    /// what the answer needs: gaps summed from `first` up to the target,
+    /// and the one matching count at its fixed bit offset. The score is
+    /// the same `count / df` division the block decode performs, so it
+    /// is bit-identical to a full decode; nothing is allocated and the
+    /// decoded-block cache is never consulted.
     pub fn probe_with_hook(
         &self,
         feature: Feature,
         phrase: PhraseId,
         hook: Option<&dyn Fn(u64, u64)>,
-    ) -> f64 {
-        self.probe_cached(feature, phrase, hook, None)
-    }
-
-    /// [`probe_with_hook`](Self::probe_with_hook) plus an optional
-    /// decoded-block provider consulted after the hook fires.
-    pub fn probe_cached(
-        &self,
-        feature: Feature,
-        phrase: PhraseId,
-        hook: Option<&dyn Fn(u64, u64)>,
-        cache: Option<&dyn DecodedBlockProvider>,
     ) -> f64 {
         let Some(&slot) = self.slots.get(&feature) else {
             return 0.0;
@@ -342,22 +337,16 @@ impl BlockLists {
         if phrase < meta.first {
             return 0.0;
         }
-        let key = self.score_data.len() as u64 + meta.offset;
         if let Some(h) = hook {
-            h(key, u64::from(meta.bytes));
+            h(
+                self.score_data.len() as u64 + meta.offset,
+                u64::from(meta.bytes),
+            );
         }
-        if let Some(c) = cache {
-            if let Some(entries) = c.lookup(key) {
-                return probe_id_ordered(&entries, phrase);
-            }
+        match probe_id_block(meta, &self.id_data, phrase) {
+            Some(count) => f64::from(count) / f64::from(self.df[phrase.raw() as usize]),
+            None => 0.0,
         }
-        let mut scratch = DecodeScratch::default();
-        let mut buf = Vec::with_capacity(meta.len as usize);
-        decode_block(meta, &self.id_data, true, &self.df, &mut scratch, &mut buf);
-        if let Some(c) = cache {
-            c.admit(key, Arc::new(buf.clone()));
-        }
-        probe_id_ordered(&buf, phrase)
     }
 }
 
@@ -598,6 +587,29 @@ fn decode_block(
     );
 }
 
+/// The co-count stored for `target` in an id-ordered block, or `None` if
+/// the block does not hold it. Requires `meta.first <= target <=
+/// meta.last`: the gap sum stops at the first id at or past the target,
+/// which the `last` bound guarantees exists, so at most the gaps before
+/// the target and one count are unpacked.
+fn probe_id_block(meta: &BlockMeta, region: &[u8], target: PhraseId) -> Option<u32> {
+    debug_assert!(meta.first <= target && target <= meta.last);
+    let payload = &region[meta.offset as usize..meta.offset as usize + meta.bytes as usize];
+    let id_bits = u32::from(meta.id_bits);
+    let count_bits = u32::from(meta.count_bits);
+    let mut id = meta.first.raw();
+    let mut i = 0u64;
+    while id < target.raw() {
+        id += read_bits(payload, i * u64::from(id_bits), id_bits) as u32;
+        i += 1;
+    }
+    if id != target.raw() {
+        return None;
+    }
+    let counts_at = u64::from(meta.len - 1) * u64::from(id_bits);
+    Some(read_bits(payload, counts_at + i * u64::from(count_bits), count_bits) as u32)
+}
+
 // ---------------------------------------------------------------------------
 // Cursors
 // ---------------------------------------------------------------------------
@@ -821,9 +833,27 @@ impl BitWriter {
 }
 
 /// Reads `bits` bits (`1..=64`) at absolute `bit_offset`, mirroring
-/// [`BitWriter::write`].
+/// [`BitWriter::write`]. Fields up to 56 bits wide whose containing 8
+/// bytes lie inside `data` come from one little-endian word load, a
+/// shift and a mask (the in-byte shift is at most 7, so the field always
+/// fits the word); wider fields and reads in a slice's last 7 bytes fall
+/// back to the byte loop.
 fn read_bits(data: &[u8], bit_offset: u64, bits: u32) -> u64 {
     debug_assert!((1..=64).contains(&bits));
+    if bits <= 56 {
+        let word = data
+            .get((bit_offset / 8) as usize..)
+            .and_then(<[u8]>::first_chunk::<8>);
+        if let Some(word) = word {
+            return (u64::from_le_bytes(*word) >> (bit_offset % 8)) & ((1u64 << bits) - 1);
+        }
+    }
+    read_bits_bytewise(data, bit_offset, bits)
+}
+
+/// Byte-at-a-time [`read_bits`]: the fallback for wide fields and slice
+/// tails, and the reference the word path is tested against.
+fn read_bits_bytewise(data: &[u8], bit_offset: u64, bits: u32) -> u64 {
     debug_assert!(
         bit_offset + u64::from(bits) <= data.len() as u64 * 8,
         "bit range out of bounds"
@@ -1198,17 +1228,19 @@ mod tests {
         assert_eq!(fetches.get(), 0, "metadata-only skip");
     }
 
-    /// Toy provider for the cached-cursor tests: a plain map plus hit /
-    /// admit counters.
+    /// Toy provider for the cached-cursor tests: a plain map plus lookup /
+    /// hit / admit counters.
     #[derive(Default)]
     struct MapProvider {
         map: std::cell::RefCell<FxHashMap<u64, Arc<Vec<ListEntry>>>>,
+        lookups: Cell<u32>,
         hits: Cell<u32>,
         admits: Cell<u32>,
     }
     use std::cell::Cell;
     impl DecodedBlockProvider for MapProvider {
         fn lookup(&self, offset: u64) -> Option<Arc<Vec<ListEntry>>> {
+            self.lookups.set(self.lookups.get() + 1);
             let hit = self.map.borrow().get(&offset).cloned();
             if hit.is_some() {
                 self.hits.set(self.hits.get() + 1);
@@ -1263,23 +1295,79 @@ mod tests {
             assert_eq!(got.prob.to_bits(), want.prob.to_bits());
         }
 
-        // Id cursors and probes share the provider: id-region offsets are
-        // disjoint from score-region offsets, so nothing collides.
+        // Id cursors share the provider: id-region offsets are disjoint
+        // from score-region offsets, so nothing collides.
         let mut idc = b.id_cursor_cached(feat, None, Some(&provider));
         let want = idl.list(feat);
         for e in want {
             let got = idc.next_entry().unwrap();
             assert_eq!(got.prob.to_bits(), e.prob.to_bits());
         }
-        let probe_hits_before = provider.hits.get();
+        // Probes read one entry straight from the payload: bit-identical,
+        // and they never touch the decoded-block cache.
+        let (lookups, admits) = (provider.lookups.get(), provider.admits.get());
         for e in want.iter().take(5) {
-            let got = b.probe_cached(feat, e.phrase, None, Some(&provider));
+            let got = b.probe_with_hook(feat, e.phrase, None);
             assert_eq!(got.to_bits(), e.prob.to_bits());
         }
-        assert!(
-            provider.hits.get() > probe_hits_before,
-            "probes reuse blocks the id cursor admitted"
+        assert_eq!(
+            (provider.lookups.get(), provider.admits.get()),
+            (lookups, admits),
+            "probes neither look up nor admit"
         );
+    }
+
+    /// Deterministic splitmix64 stream for the bit-packing tests.
+    fn splitmix(seed: &mut u64) -> u64 {
+        *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn read_bits_word_path_matches_byte_loop() {
+        // Every (offset, width) that fits a 40-byte buffer, so reads end
+        // anywhere from the first word to the slice's last bit — the last
+        // 7 bytes take the byte-loop fallback, widths > 56 always do.
+        let mut seed = 7;
+        let data: Vec<u8> = (0..40).map(|_| splitmix(&mut seed) as u8).collect();
+        let total = data.len() as u64 * 8;
+        for bits in 1..=64u32 {
+            for off in 0..=total - u64::from(bits) {
+                assert_eq!(
+                    read_bits(&data, off, bits),
+                    read_bits_bytewise(&data, off, bits),
+                    "offset {off}, width {bits}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bit_writer_round_trips_every_width() {
+        let mut seed = 11;
+        for bits in 1..=64u32 {
+            let mask = if bits == 64 {
+                u64::MAX
+            } else {
+                (1u64 << bits) - 1
+            };
+            // A 3-bit lead-in misaligns every value after it.
+            let values: Vec<u64> = (0..37).map(|_| splitmix(&mut seed) & mask).collect();
+            let mut w = BitWriter::default();
+            w.write(0b101, 3);
+            for &v in &values {
+                w.write(v, bits);
+            }
+            let bytes = w.into_bytes();
+            assert_eq!(read_bits(&bytes, 0, 3), 0b101);
+            for (i, &v) in values.iter().enumerate() {
+                let at = 3 + i as u64 * u64::from(bits);
+                assert_eq!(read_bits(&bytes, at, bits), v, "width {bits}, value {i}");
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! fire the pool-charging fetch hook before consulting the cache, so IO
 //! accounting, §5.5 cost numbers, and io-budget trip points are identical
 //! with or without it. A hit saves decode CPU only — which is the point:
-//! on one core, amortized decode is the whole batching win.
+//! on one core, amortized decode is the whole batching win. Random probes
+//! bypass the cache: a probe unpacks only the gaps up to its target and
+//! one count, which costs less than a lookup.
 //!
 //! Capacity is counted in *blocks* (each decoded block is at most
 //! [`BLOCK_SIZE`](ipm_index::block::BLOCK_SIZE) entries of 12 bytes), and
@@ -308,12 +310,7 @@ impl ListBackend for CachedBlockImage<'_> {
     }
 
     fn probe(&self, feature: Feature, phrase: PhraseId) -> f64 {
-        let file_len = self.image.file_len();
-        let pool = self.image.pool_handle();
-        let charge = |offset: u64, len: u64| pool.lock().access_range(offset, len, file_len);
-        self.image
-            .lists()
-            .probe_cached(feature, phrase, Some(&charge), Some(self))
+        self.image.probe(feature, phrase)
     }
 
     fn list_len(&self, feature: Feature) -> usize {

@@ -112,12 +112,6 @@ impl BlockImage {
         self.image_id
     }
 
-    /// The pool behind this image (for cache wrappers that need a charge
-    /// closure rather than a boxed hook).
-    pub(crate) fn pool_handle(&self) -> &Mutex<BufferPool> {
-        &self.pool
-    }
-
     /// Length of the simulated file: both encoded regions, contiguous.
     pub(crate) fn file_len(&self) -> u64 {
         self.lists.image_bytes() as u64
