@@ -4,26 +4,27 @@
 //! The bench target runs a zipfian shared-word workload (many concurrent
 //! queries drawing their words from the hot head of the vocabulary) two
 //! ways: N independent `execute_with_budget` calls (the serial baseline)
-//! and one `execute_batch` call (the fused shared-scan path with the
-//! decoded-block cache). Each row records the aggregate latency of both
-//! and the decode-cache hit rate the fused run achieved. The validator
-//! enforces the PR's acceptance bound: on the block backend the fused
-//! aggregate must stay at or below 0.6× the serial aggregate, with a
-//! decode-cache hit rate above 50% — so CI fails when the fusion win
-//! regresses, not just when the schema drifts.
+//! and one `execute_batch` call (the fused shared-scan path). Each row
+//! records the aggregate latency of both, the word-list walks the serial
+//! run makes and the walks the fused run saved. The validator enforces
+//! the acceptance bounds: on the block backend the fused aggregate must
+//! stay at or below 0.6× the serial aggregate, and on every row the
+//! fused run must save more than half of the serial walks — so CI fails
+//! when the fusion win regresses, not just when the schema drifts.
 
 use serde_json::Value;
 use std::collections::BTreeMap;
 
 /// Bump when the JSON shape changes; CI pins the current value.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The acceptance bound on the block backend: fused aggregate latency
 /// must be ≤ this fraction of the serial aggregate.
 pub const MAX_FUSED_RATIO: f64 = 0.6;
 
-/// The acceptance floor for the decode-cache hit rate on block rows.
-pub const MIN_HIT_RATE: f64 = 0.5;
+/// The acceptance floor, on every row, for the share of serial list walks
+/// the fused run saves (`fused_scans_saved / list_walks`, exclusive).
+pub const MIN_SAVED_SHARE: f64 = 0.5;
 
 /// One workload measurement: a (backend, algorithm) cell of the zipfian
 /// shared-word scenario.
@@ -41,12 +42,11 @@ pub struct BatchRow {
     pub speedup: f64,
     /// Shared-scan groups the planner formed for the batch.
     pub groups: u64,
-    /// Decoded-block cache hits during the fused run.
-    pub decode_cache_hits: u64,
-    /// Decoded-block cache misses during the fused run.
-    pub decode_cache_misses: u64,
-    /// `hits / (hits + misses)`; 0 when the backend never decodes.
-    pub decode_cache_hit_rate: f64,
+    /// Word-list walks the serial run makes: each query's distinct words,
+    /// summed over the batch.
+    pub list_walks: u64,
+    /// List walks the fused run saved (`ipm_batch_fused_scans_saved_total`).
+    pub fused_scans_saved: u64,
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -70,12 +70,8 @@ pub fn report(corpus: &str, k: usize, queries: usize, zipf_s: f64, rows: &[Batch
                 ("fused_total_us", Value::from(r.fused_total_us)),
                 ("speedup", Value::from(r.speedup)),
                 ("groups", Value::from(r.groups)),
-                ("decode_cache_hits", Value::from(r.decode_cache_hits)),
-                ("decode_cache_misses", Value::from(r.decode_cache_misses)),
-                (
-                    "decode_cache_hit_rate",
-                    Value::from(r.decode_cache_hit_rate),
-                ),
+                ("list_walks", Value::from(r.list_walks)),
+                ("fused_scans_saved", Value::from(r.fused_scans_saved)),
             ])
         })
         .collect();
@@ -148,15 +144,22 @@ pub fn validate(v: &Value) -> Result<(), String> {
         let groups = require(row, "groups")?
             .as_u64()
             .ok_or("groups not an integer")?;
-        require(row, "decode_cache_hits")?
+        let walks = require(row, "list_walks")?
             .as_u64()
-            .ok_or("decode_cache_hits not an integer")?;
-        require(row, "decode_cache_misses")?
+            .ok_or("list_walks not an integer")?;
+        let saved = require(row, "fused_scans_saved")?
             .as_u64()
-            .ok_or("decode_cache_misses not an integer")?;
-        let hit_rate = require_number(row, "decode_cache_hit_rate")?;
-        if !(0.0..=1.0).contains(&hit_rate) {
-            return Err(format!("decode_cache_hit_rate out of range: {hit_rate}"));
+            .ok_or("fused_scans_saved not an integer")?;
+        if saved > walks {
+            return Err(format!(
+                "{backend}: fused_scans_saved {saved} exceeds list_walks {walks}"
+            ));
+        }
+        if saved as f64 <= MIN_SAVED_SHARE * walks as f64 {
+            return Err(format!(
+                "{backend}: fused run saved {saved} of {walks} list walks, \
+                 not above {MIN_SAVED_SHARE} of them"
+            ));
         }
         if backend == "block" {
             block_seen = true;
@@ -167,11 +170,6 @@ pub fn validate(v: &Value) -> Result<(), String> {
                 return Err(format!(
                     "block backend: fused aggregate {fused:.0} µs exceeds \
                      {MAX_FUSED_RATIO}× serial aggregate {serial:.0} µs"
-                ));
-            }
-            if hit_rate <= MIN_HIT_RATE {
-                return Err(format!(
-                    "block backend: decode-cache hit rate {hit_rate:.3} not above {MIN_HIT_RATE}"
                 ));
             }
         }
@@ -194,9 +192,8 @@ mod tests {
             fused_total_us: 4_000.0,
             speedup: 2.5,
             groups: 3,
-            decode_cache_hits: 900,
-            decode_cache_misses: 100,
-            decode_cache_hit_rate: 0.9,
+            list_walks: 128,
+            fused_scans_saved: 112,
         }
     }
 
@@ -208,9 +205,6 @@ mod tests {
             fused_total_us: 4_900.0,
             speedup: 5_000.0 / 4_900.0,
             groups: 3,
-            decode_cache_hits: 0,
-            decode_cache_misses: 0,
-            decode_cache_hit_rate: 0.0,
             ..block_row()
         };
         let v = report("synth-tiny", 10, 64, 1.1, &[block_row(), mem]);
@@ -230,11 +224,24 @@ mod tests {
         slow.speedup = slow.serial_total_us / slow.fused_total_us;
         let v = report("c", 5, 64, 1.1, &[slow]);
         assert!(validate(&v).unwrap_err().contains("exceeds"));
-        // Hit rate at or below 50%.
-        let mut cold = block_row();
-        cold.decode_cache_hit_rate = 0.5;
-        let v = report("c", 5, 64, 1.1, &[cold]);
-        assert!(validate(&v).unwrap_err().contains("hit rate"));
+        // Fused run saving only half of the serial walks — on a memory
+        // row too, which the floor covers as well as block rows.
+        let mut unshared = block_row();
+        unshared.fused_scans_saved = 64;
+        let v = report("c", 5, 64, 1.1, &[unshared]);
+        assert!(validate(&v).unwrap_err().contains("list walks"));
+        let mut mem_unshared = block_row();
+        mem_unshared.backend = "memory".into();
+        mem_unshared.fused_scans_saved = 10;
+        let v = report("c", 5, 64, 1.1, &[block_row(), mem_unshared]);
+        assert!(validate(&v)
+            .unwrap_err()
+            .contains("memory: fused run saved"));
+        // More walks saved than a serial run makes.
+        let mut impossible = block_row();
+        impossible.fused_scans_saved = 129;
+        let v = report("c", 5, 64, 1.1, &[impossible]);
+        assert!(validate(&v).unwrap_err().contains("exceeds list_walks"));
         // No block row at all.
         let mut mem = block_row();
         mem.backend = "memory".into();

@@ -21,7 +21,6 @@
 
 pub mod budget_cancel;
 pub mod cache_epoch;
-pub mod decode_cache;
 pub mod hedge_feedback;
 pub mod live_swap;
 pub mod single_flight;

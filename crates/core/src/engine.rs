@@ -65,8 +65,7 @@ use ipm_obs::{
     TraceMeta, Tracer,
 };
 use ipm_storage::{
-    BlockImage, CachedBlockImage, CostModel, DecodeStats, DecodedBlockCache, DiskLists, IoStats,
-    PoolConfig, ShardedBlockImage, ShardedDiskImage,
+    BlockImage, CostModel, DiskLists, IoStats, PoolConfig, ShardedBlockImage, ShardedDiskImage,
 };
 
 /// Which retrieval algorithm serves a request.
@@ -194,16 +193,6 @@ pub struct EngineConfig {
     /// disables the log — and with it the internal tracing it forces on
     /// otherwise-untraced queries.
     pub slow_query: Option<SlowQueryConfig>,
-    /// Capacity (in 128-entry blocks) of the decoded-block cache the
-    /// **batch** executor shares across block-backed batch members, so
-    /// queries that walk the same word lists decode each block once
-    /// ([`QueryEngine::execute_batch`]). Entries are keyed by index epoch
-    /// — a generation swap invalidates them for free, like the result
-    /// cache. `0` disables the cache; single-query execution never uses
-    /// it (per-query §5.5 decode accounting stays untouched either way —
-    /// the cache sits behind the buffer-pool charge, so IO numbers are
-    /// identical; only decode CPU is saved).
-    pub decode_cache_blocks: usize,
 }
 
 impl Default for EngineConfig {
@@ -215,7 +204,6 @@ impl Default for EngineConfig {
             pool: PoolConfig::default(),
             cost: CostModel::default(),
             slow_query: None,
-            decode_cache_blocks: 4096,
         }
     }
 }
@@ -292,15 +280,6 @@ pub struct BatchItem<'a> {
     pub options: SearchOptions,
     /// Per-item execution budget; trips truncate this item only.
     pub budget: &'a Budget,
-}
-
-/// The decoded-block cache binding one batch execution threads down to
-/// the block backend: the shared cache, the batch's pinned epoch, and the
-/// batch-local hit/miss tally.
-struct DecodeBinding<'a> {
-    cache: &'a DecodedBlockCache,
-    epoch: u64,
-    stats: &'a DecodeStats,
 }
 
 /// One fused batch member's precomputed execution: the shared scan's
@@ -538,13 +517,11 @@ struct EngineObs {
     sharded_queries: Counter,
     latency: Histogram,
     /// Batch-execution families: planner groups formed, items executed,
-    /// group-size distribution, decodes saved by the shared-scan cache.
+    /// group-size distribution, list walks saved by fused shared scans.
     batch_groups: Counter,
     batch_items: Counter,
     batch_group_size: Histogram,
     fused_saved: Counter,
-    decode_hits: Counter,
-    decode_misses: Counter,
     trip_deadline: Counter,
     trip_io: Counter,
     trip_steps: Counter,
@@ -619,15 +596,8 @@ impl EngineObs {
             ),
             fused_saved: r.counter(
                 "ipm_batch_fused_scans_saved_total",
-                "Block decodes skipped because a batch member reused a cached decoded block",
-            ),
-            decode_hits: r.counter(
-                "ipm_decode_cache_hits_total",
-                "Decoded-block cache hits across all batch executions",
-            ),
-            decode_misses: r.counter(
-                "ipm_decode_cache_misses_total",
-                "Decoded-block cache misses across all batch executions",
+                "Word-list walks saved by fused batch groups: each fused member's distinct \
+                 words summed, minus the distinct words the group's shared scan walked",
             ),
             trip_deadline: r.counter_with(
                 "ipm_budget_truncated_total",
@@ -744,11 +714,6 @@ struct Inner {
     /// but two concurrent queries must not interleave.
     disk_gate: Mutex<()>,
     cache: Option<ShardedLruCache<CacheKey, Arc<Vec<SearchHit>>>>,
-    /// Decoded-block cache shared by block-backed **batch** executions
-    /// (`None` when [`EngineConfig::decode_cache_blocks`] is `0`).
-    /// Entries are keyed by `(epoch, image, offset)`, so generation swaps
-    /// invalidate them exactly like the result cache.
-    decode_cache: Option<DecodedBlockCache>,
     /// Default shard fanout for requests that don't specify one.
     default_shards: usize,
     /// Uncached executions that fanned out to more than one shard.
@@ -795,8 +760,6 @@ impl QueryEngine {
                 cost: config.cost,
                 disk_gate: Mutex::new(()),
                 cache: config.cache.map(ShardedLruCache::new),
-                decode_cache: (config.decode_cache_blocks > 0)
-                    .then(|| DecodedBlockCache::new(config.decode_cache_blocks)),
                 default_shards: config.shards.max(1),
                 sharded_queries: AtomicU64::new(0),
                 served: AtomicU64::new(0),
@@ -1316,17 +1279,16 @@ impl QueryEngine {
         // execution — works off this snapshot, so a concurrent ingest or
         // compaction never mixes generations within one request.
         let live = self.live();
-        self.execute_one(&live, query, k, options, budget, None, None)
+        self.execute_one(&live, query, k, options, budget, None)
     }
 
     /// Serves several parsed queries as one batch: a single live-state
     /// snapshot, the [`crate::plan::BatchPlan`] planner grouping items
     /// that share query words (within one execution-config class), a
     /// fused shared scan walking each group's distinct word lists **once**
-    /// for all eligible members (`fused.rs`), and — for block-backed
-    /// items — a shared decoded-block cache so each encoded block is
-    /// bit-unpacked once per group instead of once per query. Results come
-    /// back in input order.
+    /// for all eligible members (`fused.rs`), so each list — and, on the
+    /// block backend, each encoded block — is read and decoded once per
+    /// group instead of once per query. Results come back in input order.
     ///
     /// **Parity contract**: every item returns exactly what its own
     /// [`QueryEngine::execute_with_budget`] call would have returned
@@ -1336,9 +1298,7 @@ impl QueryEngine {
     /// scan fuses only fully unbudgeted members). The one observable
     /// difference: a fused member reports `io: None`, because the group's
     /// shared scan cannot be attributed to single items — the group's
-    /// combined [`IoStats`] still lands in [`QueryEngine::io_totals`], and
-    /// the decoded-block tally books one logical read per member per
-    /// block, exactly what the per-item decode-cached path would report.
+    /// combined [`IoStats`] still lands in [`QueryEngine::io_totals`].
     /// Grouping changes execution *order*, never hits.
     pub fn execute_batch(
         &self,
@@ -1352,19 +1312,13 @@ impl QueryEngine {
         );
         obs.batch_items.add(items.len() as u64);
         obs.batch_groups.add(plan.groups.len() as u64);
-        let batch_stats = DecodeStats::default();
         let mut items: Vec<Option<BatchItem<'_>>> = items.into_iter().map(Some).collect();
         let mut out: Vec<Option<Result<SearchResponse, SearchError>>> =
             (0..items.len()).map(|_| None).collect();
         for group in &plan.groups {
             obs.batch_group_size
                 .observe_seconds(group.members.len() as f64);
-            let decode = self.inner.decode_cache.as_ref().map(|cache| DecodeBinding {
-                cache,
-                epoch: live.epoch,
-                stats: &batch_stats,
-            });
-            let mut fused = self.try_fuse_group(&live, &items, &group.members, decode.as_ref());
+            let mut fused = self.try_fuse_group(&live, &items, &group.members);
             for &i in &group.members {
                 let item = items[i].take().expect("planner emits each item once");
                 out[i] = Some(self.execute_one(
@@ -1373,14 +1327,10 @@ impl QueryEngine {
                     item.k,
                     &item.options,
                     item.budget,
-                    decode.as_ref(),
                     fused.remove(&i),
                 ));
             }
         }
-        obs.fused_saved.add(batch_stats.hits());
-        obs.decode_hits.add(batch_stats.hits());
-        obs.decode_misses.add(batch_stats.misses());
         out.into_iter()
             .map(|r| r.expect("every item executed"))
             .collect()
@@ -1391,18 +1341,19 @@ impl QueryEngine {
     /// backend, no redundancy filter, no live delta, fully unlimited
     /// budget, not already result-cached — are served by **one**
     /// synchronized walk over the group's distinct word lists
-    /// ([`crate::fused::run_fused_smj`]), each decoded block touched once
-    /// for the whole group. Returns each fused member's hits keyed by
-    /// item index; members absent from the map (and groups that don't
-    /// qualify at all) fall back to the per-item path, which keeps budget
-    /// truncation, NRA/TA/exact semantics, redundancy filtering and
-    /// sharded fanout trivially identical to serial execution.
+    /// ([`crate::fused::run_fused_smj`]), each list walked once for the
+    /// whole group; the walks this saves over serial execution are booked
+    /// to `ipm_batch_fused_scans_saved_total`. Returns each fused member's
+    /// hits keyed by item index; members absent from the map (and groups
+    /// that don't qualify at all) fall back to the per-item path, which
+    /// keeps budget truncation, NRA/TA/exact semantics, redundancy
+    /// filtering and sharded fanout trivially identical to serial
+    /// execution.
     fn try_fuse_group(
         &self,
         live: &LiveState,
         items: &[Option<BatchItem<'_>>],
         members: &[usize],
-        decode: Option<&DecodeBinding<'_>>,
     ) -> FxHashMap<usize, FusedHits> {
         let mut fused = FxHashMap::default();
         if members.len() < 2 {
@@ -1473,19 +1424,21 @@ impl QueryEngine {
                 k: it.k,
             });
         }
-        // Per-feature member multiplicity: the weight the decoded-block
-        // tally books per physical lookup, so fused counters equal what
-        // the per-item decode-cached walks would have reported.
-        let mut multiplicity = vec![0u64; features.len()];
-        for spec in &specs {
-            let mut seen: Vec<usize> = Vec::new();
-            for &ci in &spec.positions {
-                if !seen.contains(&ci) {
-                    seen.push(ci);
-                    multiplicity[ci] += 1;
-                }
-            }
-        }
+        // A serial run walks each member's distinct words once; the shared
+        // scan walks each of the group's distinct words once.
+        let member_walks: usize = specs
+            .iter()
+            .map(|spec| {
+                let mut lists = spec.positions.clone();
+                lists.sort_unstable();
+                lists.dedup();
+                lists.len()
+            })
+            .sum();
+        self.inner
+            .obs
+            .fused_saved
+            .add((member_walks - features.len()) as u64);
         let m = &*live.index.miner;
         let results = match plan.backend {
             BackendChoice::Memory => {
@@ -1498,23 +1451,8 @@ impl QueryEngine {
                 let block = &*block;
                 let _serial = self.inner.disk_gate.lock().unwrap();
                 block.reset_io(); // one shared cold scan for the whole group
-                let results = if let Some(d) = decode {
-                    let views: Vec<CachedBlockImage<'_>> = multiplicity
-                        .iter()
-                        .map(|&w| {
-                            CachedBlockImage::new(block, d.cache, d.epoch, d.stats).with_weight(w)
-                        })
-                        .collect();
-                    let cursors: Vec<_> = views
-                        .iter()
-                        .zip(&features)
-                        .map(|(v, &f)| v.id_cursor(f))
-                        .collect();
-                    crate::fused::run_fused_smj(cursors, &specs)
-                } else {
-                    let cursors: Vec<_> = features.iter().map(|&f| block.id_cursor(f)).collect();
-                    crate::fused::run_fused_smj(cursors, &specs)
-                };
+                let cursors: Vec<_> = features.iter().map(|&f| block.id_cursor(f)).collect();
+                let results = crate::fused::run_fused_smj(cursors, &specs);
                 let io = block.io_stats();
                 self.inner.io_totals.lock().unwrap().accumulate(&io);
                 results
@@ -1538,24 +1476,19 @@ impl QueryEngine {
         fused
     }
 
-    /// Cumulative decoded-block cache counters: `(hits, misses)`, both
-    /// zero when the cache is disabled or no batch has run.
+    /// Always `(0, 0)`: the engine keeps no decoded-block cache (fused
+    /// batch groups already walk each list once). Kept only because the
+    /// external benchmark harness under `perfbench/` still calls it.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
-        self.inner
-            .decode_cache
-            .as_ref()
-            .map(|c| (c.stats().hits(), c.stats().misses()))
-            .unwrap_or((0, 0))
+        (0, 0)
     }
 
     /// The single uncached-or-cached execution path behind
     /// [`QueryEngine::execute_with_budget`] and every batch item, against
-    /// an already-pinned snapshot of the serving head. `decode` attaches
-    /// the shared decoded-block cache (batch path only); `fused` carries
+    /// an already-pinned snapshot of the serving head. `fused` carries
     /// hits already produced by the group's shared scan, which replace
     /// the `execute_uncached` run while cache probe/insert, completeness,
     /// counters and tracing stay on this one path.
-    #[allow(clippy::too_many_arguments)]
     fn execute_one(
         &self,
         live: &LiveState,
@@ -1563,7 +1496,6 @@ impl QueryEngine {
         k: usize,
         options: &SearchOptions,
         budget: &Budget,
-        decode: Option<&DecodeBinding<'_>>,
         fused: Option<FusedHits>,
     ) -> Result<SearchResponse, SearchError> {
         let start = Instant::now();
@@ -1667,7 +1599,6 @@ impl QueryEngine {
                 &delta_snapshot,
                 budget,
                 &tracer,
-                decode,
             ),
         };
         exec_span.end();
@@ -1756,7 +1687,6 @@ impl QueryEngine {
         delta_snapshot: &Option<Arc<DeltaIndex>>,
         budget: &Budget,
         tracer: &Tracer,
-        decode: Option<&DecodeBinding<'_>>,
     ) -> (Vec<SearchHit>, Option<IoStats>, ExecStats) {
         let m = &*state.miner;
         let ctx = ExecContext {
@@ -1860,12 +1790,7 @@ impl QueryEngine {
                 let block = &*block;
                 let _serial = self.inner.disk_gate.lock().unwrap();
                 block.reset_io(); // per-query cold cache (paper §5.5)
-                let (hits, stats) = if let Some(d) = decode {
-                    let cached = CachedBlockImage::new(block, d.cache, d.epoch, d.stats);
-                    crate::plan::run_query(&ctx, &[&cached], query, k)
-                } else {
-                    crate::plan::run_query(&ctx, &[block], query, k)
-                };
+                let (hits, stats) = crate::plan::run_query(&ctx, &[block], query, k);
                 // The block image carries no phrase file; texts resolve
                 // from the miner's in-memory dictionary (like the memory
                 // backend), so the IoStats are pure list traffic.
@@ -1892,18 +1817,8 @@ impl QueryEngine {
                 });
                 let _serial = self.inner.disk_gate.lock().unwrap();
                 image.reset_io(); // per-query cold cache across all shards
-                let (hits, stats) = if let Some(d) = decode {
-                    let wrapped: Vec<CachedBlockImage<'_>> = image
-                        .shards()
-                        .iter()
-                        .map(|s| CachedBlockImage::new(s, d.cache, d.epoch, d.stats))
-                        .collect();
-                    let refs: Vec<&CachedBlockImage<'_>> = wrapped.iter().collect();
-                    crate::plan::run_query(&ctx, &refs, query, k)
-                } else {
-                    let refs: Vec<&BlockImage> = image.shards().iter().collect();
-                    crate::plan::run_query(&ctx, &refs, query, k)
-                };
+                let refs: Vec<&BlockImage> = image.shards().iter().collect();
+                let (hits, stats) = crate::plan::run_query(&ctx, &refs, query, k);
                 let text_span = tracer.span(StageKind::TextResolve);
                 let resolved = hits
                     .into_iter()
@@ -3190,7 +3105,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_execution_and_reuses_decoded_blocks() {
+    fn batch_matches_serial_execution_and_saves_list_walks() {
         let e = uncached_engine();
         let q = query_string(&e, Operator::Or);
         let miner = e.miner();
@@ -3232,11 +3147,36 @@ mod tests {
             assert!(s.io.is_some(), "serial block query reports IO");
             assert!(b.io.is_none(), "fused member IO is a group quantity");
         }
-        let (hits, misses) = e.decode_cache_stats();
-        assert!(misses > 0, "first member decodes");
-        assert!(hits > 0, "later members must reuse decoded blocks");
-        // Identical queries share every block: 6 members, 5 reuse passes.
-        assert!(hits >= misses * 4, "hits {hits} vs misses {misses}");
+        // 6 identical two-word members: 12 serial walks, 2 shared ones.
+        assert_eq!(e.inner.obs.fused_saved.get(), 10);
+    }
+
+    /// A fused group of N identical two-word SMJ queries walks each of
+    /// its two lists once instead of N times: `2·(N−1)` walks saved, on
+    /// both fusable backends.
+    #[test]
+    fn batch_books_list_walks_saved_on_both_fused_backends() {
+        const N: u64 = 4;
+        for backend in [BackendChoice::Memory, BackendChoice::Block] {
+            let e = uncached_engine();
+            let q = query_string(&e, Operator::And);
+            let miner = e.miner();
+            let opts = SearchOptions {
+                backend,
+                algorithm: Algorithm::Smj,
+                ..Default::default()
+            };
+            let items: Vec<BatchItem<'_>> = (0..N)
+                .map(|_| BatchItem {
+                    query: miner.parse_query_str(&q).unwrap(),
+                    k: 5,
+                    options: opts.clone(),
+                    budget: Budget::none(),
+                })
+                .collect();
+            assert!(e.execute_batch(items).iter().all(Result::is_ok));
+            assert_eq!(e.inner.obs.fused_saved.get(), 2 * (N - 1), "{backend:?}");
+        }
     }
 
     /// The fused shared scan must be bit-identical to serial execution
@@ -3303,8 +3243,10 @@ mod tests {
         }
     }
 
+    /// A batch after a generation bump runs against the new generation:
+    /// every member equals its own serial execution there, bit for bit.
     #[test]
-    fn batch_epoch_bump_invalidates_decoded_blocks() {
+    fn batch_after_epoch_bump_matches_serial() {
         let e = uncached_engine();
         let q = query_string(&e, Operator::Or);
         let miner = e.miner();
@@ -3324,16 +3266,21 @@ mod tests {
             e.execute_batch(items)
         };
         run_batch(2);
-        let (_, misses_before) = e.decode_cache_stats();
-        // A delete bumps the epoch: the next batch must re-decode from
-        // scratch (old entries are unreachable under the new epoch key).
         e.delete_document(ipm_corpus::DocId(0));
-        run_batch(1);
-        let (_, misses_after) = e.decode_cache_stats();
-        assert!(
-            misses_after > misses_before,
-            "post-bump batch must miss (stale blocks unreachable)"
-        );
+        let serial = e.search_with(&q, 5, &opts).unwrap();
+        for b in run_batch(3) {
+            let b = b.unwrap();
+            assert_eq!(b.hits.len(), serial.hits.len());
+            for (x, y) in b.hits.iter().zip(&serial.hits) {
+                assert_eq!(x.hit.phrase, y.hit.phrase);
+                assert_eq!(x.hit.score.to_bits(), y.hit.score.to_bits());
+                assert_eq!(x.text, y.text);
+            }
+            assert_eq!(
+                format!("{:?}", b.completeness),
+                format!("{:?}", serial.completeness)
+            );
+        }
     }
 
     #[test]

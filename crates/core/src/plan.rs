@@ -103,8 +103,8 @@ impl QueryPlan {
 
 /// One shared-scan group the batch planner formed: member indices into
 /// the batch, in input order. Members share an execution-config class
-/// and are connected by shared query words, so running them back to back
-/// maximizes decoded-block reuse in the batch executor's cache.
+/// and are connected by shared query words, so one fused shared scan can
+/// walk each of their word lists once for the whole group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchGroup {
     /// Indices into the planned batch, ascending.
@@ -114,8 +114,8 @@ pub struct BatchGroup {
 /// The batch planner's output: a partition of the batch into shared-scan
 /// groups, ordered by each group's first member. Grouping is a pure
 /// scheduling decision — every item still executes its own plan with its
-/// own budget, so the partition can never change results, only how much
-/// decode work the shared cache amortizes.
+/// own budget, so the partition can never change results, only how many
+/// list walks the fused shared scan saves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchPlan {
     /// The groups; their members cover `0..n` exactly once.
@@ -125,7 +125,7 @@ pub struct BatchPlan {
 /// The execution-config class two items must share before word overlap
 /// may group them: items in different classes walk different physical
 /// lists (backend, fanout layout, fraction, delta view), so fusing them
-/// shares no decoded blocks.
+/// shares no list walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct BatchClass {
     algorithm: Algorithm,
@@ -154,7 +154,7 @@ impl BatchPlan {
     /// Groups a batch: union-find over items, joining two items when they
     /// resolve to the same `BatchClass` *and* share at least one query
     /// feature (sharing a word means sharing that word's list — the unit
-    /// of decoded-block reuse). Groups come out ordered by first member,
+    /// a fused shared scan walks once). Groups come out ordered by first member,
     /// members ascending, so batch execution preserves input order within
     /// and across groups as far as grouping allows.
     pub fn group<'a, I>(items: I, default_shards: usize) -> Self

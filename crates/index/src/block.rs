@@ -79,24 +79,8 @@ pub struct BlockRun {
 /// pool per block instead of per entry. Skipped blocks are never fetched.
 pub type FetchHook<'a> = Box<dyn Fn(u64, u64) + 'a>;
 
-/// Shared store of already-decoded blocks, keyed by the absolute payload
-/// offset within the backend's combined data image (score region first,
-/// id region after — offsets are unique across both). A hit replaces the
-/// bit-unpack + dequantize work with a memcpy of the shared entries; it
-/// does **not** replace the fetch: cursors fire the [`FetchHook`] before
-/// consulting the provider, so buffer-pool charging and IO accounting are
-/// identical with or without a provider attached. Decoding is
-/// deterministic, so a cached block is bit-identical to a fresh decode.
-pub trait DecodedBlockProvider {
-    /// The decoded entries previously admitted at `offset`, if still held.
-    fn lookup(&self, offset: u64) -> Option<Arc<Vec<ListEntry>>>;
-    /// Offers a freshly decoded block for reuse by later scans.
-    fn admit(&self, offset: u64, entries: Arc<Vec<ListEntry>>);
-}
-
-/// Fetches one block into `buf`: the hook always fires (the fetch is
-/// real), then the provider either supplies the decoded entries or
-/// receives the fresh decode for reuse.
+/// Fetches one block into `buf`: the hook fires (the fetch is real),
+/// then the block is decoded.
 #[allow(clippy::too_many_arguments)]
 fn fetch_block_into(
     meta: &BlockMeta,
@@ -105,23 +89,11 @@ fn fetch_block_into(
     df: &[u32],
     base: u64,
     hook: Option<&FetchHook<'_>>,
-    cache: Option<&dyn DecodedBlockProvider>,
     scratch: &mut DecodeScratch,
     buf: &mut Vec<ListEntry>,
 ) {
-    let key = base + meta.offset;
     if let Some(h) = hook {
-        h(key, u64::from(meta.bytes));
-    }
-    if let Some(c) = cache {
-        if let Some(entries) = c.lookup(key) {
-            buf.clear();
-            buf.extend_from_slice(&entries);
-            return;
-        }
-        decode_block(meta, region, id_ordered, df, scratch, buf);
-        c.admit(key, Arc::new(buf.clone()));
-        return;
+        h(base + meta.offset, u64::from(meta.bytes));
     }
     decode_block(meta, region, id_ordered, df, scratch, buf);
 }
@@ -245,18 +217,6 @@ impl BlockLists {
         fraction: f64,
         hook: Option<FetchHook<'a>>,
     ) -> BlockScoreCursor<'a> {
-        self.score_cursor_cached(feature, fraction, hook, None)
-    }
-
-    /// [`score_cursor_with_hook`](Self::score_cursor_with_hook) plus an
-    /// optional decoded-block provider consulted after the hook fires.
-    pub fn score_cursor_cached<'a>(
-        &'a self,
-        feature: Feature,
-        fraction: f64,
-        hook: Option<FetchHook<'a>>,
-        cache: Option<&'a dyn DecodedBlockProvider>,
-    ) -> BlockScoreCursor<'a> {
         let run = self
             .slots
             .get(&feature)
@@ -274,7 +234,6 @@ impl BlockLists {
             buf_pos: 0,
             scratch: DecodeScratch::default(),
             hook,
-            cache,
         }
     }
 
@@ -283,17 +242,6 @@ impl BlockLists {
         &'a self,
         feature: Feature,
         hook: Option<FetchHook<'a>>,
-    ) -> BlockIdCursor<'a> {
-        self.id_cursor_cached(feature, hook, None)
-    }
-
-    /// [`id_cursor_with_hook`](Self::id_cursor_with_hook) plus an optional
-    /// decoded-block provider consulted after the hook fires.
-    pub fn id_cursor_cached<'a>(
-        &'a self,
-        feature: Feature,
-        hook: Option<FetchHook<'a>>,
-        cache: Option<&'a dyn DecodedBlockProvider>,
     ) -> BlockIdCursor<'a> {
         let run = self.slots.get(&feature).map(|&s| &self.id_runs[s as usize]);
         BlockIdCursor {
@@ -307,7 +255,6 @@ impl BlockLists {
             buf_pos: 0,
             scratch: DecodeScratch::default(),
             hook,
-            cache,
         }
     }
 
@@ -318,8 +265,7 @@ impl BlockLists {
     /// what the answer needs: gaps summed from `first` up to the target,
     /// and the one matching count at its fixed bit offset. The score is
     /// the same `count / df` division the block decode performs, so it
-    /// is bit-identical to a full decode; nothing is allocated and the
-    /// decoded-block cache is never consulted.
+    /// is bit-identical to a full decode; nothing is allocated.
     pub fn probe_with_hook(
         &self,
         feature: Feature,
@@ -631,7 +577,6 @@ pub struct BlockScoreCursor<'a> {
     buf_pos: usize,
     scratch: DecodeScratch,
     hook: Option<FetchHook<'a>>,
-    cache: Option<&'a dyn DecodedBlockProvider>,
 }
 
 impl BlockScoreCursor<'_> {
@@ -646,7 +591,6 @@ impl BlockScoreCursor<'_> {
             self.df,
             self.base,
             self.hook.as_ref(),
-            self.cache,
             &mut self.scratch,
             &mut self.buf,
         );
@@ -728,7 +672,6 @@ pub struct BlockIdCursor<'a> {
     buf_pos: usize,
     scratch: DecodeScratch,
     hook: Option<FetchHook<'a>>,
-    cache: Option<&'a dyn DecodedBlockProvider>,
 }
 
 impl BlockIdCursor<'_> {
@@ -743,7 +686,6 @@ impl BlockIdCursor<'_> {
             self.df,
             self.base,
             self.hook.as_ref(),
-            self.cache,
             &mut self.scratch,
             &mut self.buf,
         );
@@ -1226,95 +1168,6 @@ mod tests {
         let n = cur.skip_block();
         assert!(n > 0);
         assert_eq!(fetches.get(), 0, "metadata-only skip");
-    }
-
-    /// Toy provider for the cached-cursor tests: a plain map plus lookup /
-    /// hit / admit counters.
-    #[derive(Default)]
-    struct MapProvider {
-        map: std::cell::RefCell<FxHashMap<u64, Arc<Vec<ListEntry>>>>,
-        lookups: Cell<u32>,
-        hits: Cell<u32>,
-        admits: Cell<u32>,
-    }
-    use std::cell::Cell;
-    impl DecodedBlockProvider for MapProvider {
-        fn lookup(&self, offset: u64) -> Option<Arc<Vec<ListEntry>>> {
-            self.lookups.set(self.lookups.get() + 1);
-            let hit = self.map.borrow().get(&offset).cloned();
-            if hit.is_some() {
-                self.hits.set(self.hits.get() + 1);
-            }
-            hit
-        }
-        fn admit(&self, offset: u64, entries: Arc<Vec<ListEntry>>) {
-            self.admits.set(self.admits.get() + 1);
-            self.map.borrow_mut().insert(offset, entries);
-        }
-    }
-
-    #[test]
-    fn cached_cursors_hit_on_reuse_and_stay_bit_identical() {
-        let (b, lists, idl) = blocks();
-        let feat = *lists
-            .features()
-            .iter()
-            .max_by_key(|f| lists.list(**f).len())
-            .unwrap();
-        let provider = MapProvider::default();
-        let n_blocks = lists.list(feat).len().div_ceil(BLOCK_SIZE) as u32;
-
-        // First pass: all misses, every block admitted, hook still fires
-        // once per block.
-        let fetches = Cell::new(0u32);
-        let hook: FetchHook<'_> = Box::new(|_, _| fetches.set(fetches.get() + 1));
-        let mut cur = b.score_cursor_cached(feat, 1.0, Some(hook), Some(&provider));
-        let mut first = Vec::new();
-        while let Some(e) = cur.next_entry() {
-            first.push(e);
-        }
-        assert_eq!(provider.hits.get(), 0);
-        assert_eq!(provider.admits.get(), n_blocks);
-        assert_eq!(fetches.get(), n_blocks, "cache miss still charges fetch");
-
-        // Second pass: all hits, hook fires identically, entries are
-        // bit-identical to both the first pass and the source lists.
-        fetches.set(0);
-        let hook: FetchHook<'_> = Box::new(|_, _| fetches.set(fetches.get() + 1));
-        let mut cur = b.score_cursor_cached(feat, 1.0, Some(hook), Some(&provider));
-        for (i, want) in first.iter().enumerate() {
-            let got = cur.next_entry().unwrap();
-            assert_eq!(got.phrase, want.phrase);
-            assert_eq!(got.prob.to_bits(), want.prob.to_bits(), "entry {i}");
-        }
-        assert!(cur.next_entry().is_none());
-        assert_eq!(provider.hits.get(), n_blocks);
-        assert_eq!(provider.admits.get(), n_blocks, "no re-admission on hit");
-        assert_eq!(fetches.get(), n_blocks, "cache hit still charges fetch");
-        for (got, want) in first.iter().zip(lists.list(feat)) {
-            assert_eq!(got.prob.to_bits(), want.prob.to_bits());
-        }
-
-        // Id cursors share the provider: id-region offsets are disjoint
-        // from score-region offsets, so nothing collides.
-        let mut idc = b.id_cursor_cached(feat, None, Some(&provider));
-        let want = idl.list(feat);
-        for e in want {
-            let got = idc.next_entry().unwrap();
-            assert_eq!(got.prob.to_bits(), e.prob.to_bits());
-        }
-        // Probes read one entry straight from the payload: bit-identical,
-        // and they never touch the decoded-block cache.
-        let (lookups, admits) = (provider.lookups.get(), provider.admits.get());
-        for e in want.iter().take(5) {
-            let got = b.probe_with_hook(feat, e.phrase, None);
-            assert_eq!(got.to_bits(), e.prob.to_bits());
-        }
-        assert_eq!(
-            (provider.lookups.get(), provider.admits.get()),
-            (lookups, admits),
-            "probes neither look up nor admit"
-        );
     }
 
     /// Deterministic splitmix64 stream for the bit-packing tests.

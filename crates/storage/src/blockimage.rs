@@ -35,15 +35,7 @@ pub struct BlockImage {
     lists: BlockLists,
     pool: Mutex<BufferPool>,
     cost: CostModel,
-    /// Process-unique id distinguishing this image's decoded blocks from
-    /// any other image's (shard slices, rebuilt generations) in the
-    /// shared [`crate::DecodedBlockCache`].
-    image_id: u64,
 }
-
-/// Source of [`BlockImage::image_id`] values: never reused, so a decoded
-/// block admitted by one image can never be served for another.
-static NEXT_IMAGE_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 impl BlockImage {
     /// Wraps an encoded `BlockLists` with a pool in the paper's default
@@ -58,7 +50,6 @@ impl BlockImage {
             lists,
             pool: Mutex::new(BufferPool::new(pool)),
             cost,
-            image_id: NEXT_IMAGE_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
 
@@ -105,11 +96,6 @@ impl BlockImage {
     /// Cold-cache reset (between queries in the experiment harness).
     pub fn reset_io(&self) {
         self.pool.lock().reset();
-    }
-
-    /// Process-unique image id (decoded-block cache key component).
-    pub fn image_id(&self) -> u64 {
-        self.image_id
     }
 
     /// Length of the simulated file: both encoded regions, contiguous.

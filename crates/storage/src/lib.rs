@@ -31,7 +31,6 @@
 //!   [`blockimage::ShardedBlockImage`]).
 
 pub mod bits;
-pub mod blockcache;
 pub mod blockimage;
 pub mod checksum;
 pub mod cost;
@@ -42,7 +41,6 @@ pub mod persist;
 pub mod pool;
 pub mod sharded;
 
-pub use blockcache::{CachedBlockImage, DecodeStats, DecodedBlockCache};
 pub use blockimage::{BlockImage, ShardedBlockImage};
 pub use cost::{CostModel, IoStats};
 pub use disklists::DiskLists;
